@@ -15,8 +15,6 @@
 //!                                                       # --check: fail unless optimized < baseline ops at every
 //!                                                       #          point with more outer rows than the correlation
 //!                                                       #          groups
-//! harness batch [--max-rows N] [--scale S] [--check]    # columnar vs row-major vs per-tuple (Fig. 7 + TPC-H)
-//!                                                       # --check: fail unless columnar and batched are no slower
 //! harness robust [--max-rows N] [--check]               # resilience machinery armed-but-idle vs absent (Fig. 7)
 //!                                                       # --check: fail unless overhead <= 5% and a mid-query
 //!                                                       #          cancel returns within one batch
@@ -33,11 +31,11 @@
 //! ```
 
 use perm_bench::{
-    batch_results_to_json, concurrent_to_json, format_table, measure_ablation, measure_batch,
-    measure_concurrent, measure_fig6, measure_kernels, measure_obs, measure_opt, measure_robust,
-    measure_serve, measure_spill, measure_sublink_memo, measure_synthetic_sweep,
-    memo_results_to_json, obs_to_json, opt_to_json, prometheus_format_errors, results_to_json,
-    robust_to_json, serve_to_json, spill_to_json, BatchPoint, BenchConfig, SyntheticSweep,
+    concurrent_to_json, format_table, measure_ablation, measure_concurrent, measure_fig6,
+    measure_obs, measure_opt, measure_robust, measure_serve, measure_spill, measure_sublink_memo,
+    measure_synthetic_sweep, memo_results_to_json, obs_to_json, opt_to_json,
+    prometheus_format_errors, results_to_json, robust_to_json, serve_to_json, spill_to_json,
+    BenchConfig, SyntheticSweep,
 };
 use perm_tpch::TpchScale;
 use std::time::Duration;
@@ -81,7 +79,6 @@ fn main() {
         ),
         "memo" => memo(&options, &config),
         "opt" => opt(&options, &config),
-        "batch" => batch(&options, &config),
         "robust" => robust(&options, &config),
         "spill" => spill(&options, &config),
         "obs" => obs(&options, &config),
@@ -113,7 +110,6 @@ fn main() {
             );
             memo(&options, &config);
             opt(&options, &config);
-            batch(&options, &config);
             robust(&options, &config);
             spill(&options, &config);
             obs(&options, &config);
@@ -383,137 +379,6 @@ fn opt(options: &Options, config: &BenchConfig) {
     }
 }
 
-fn batch(options: &Options, config: &BenchConfig) {
-    println!(
-        "== Batched execution — columnar blocks vs row-major batches vs per-tuple dispatch \
-         on the Fig. 7 and TPC-H workloads (Gen rewrite, {} synthetic rows, TPC-H scale {}) ==\n",
-        options.max_rows, options.scale
-    );
-    let Some(scale) = TpchScale::named(&options.scale) else {
-        eprintln!("unknown scale `{}` (expected xs, s, m or l)", options.scale);
-        std::process::exit(1);
-    };
-    let rows = measure_batch(options.max_rows, scale, config);
-    println!(
-        "{:<24} {:>13} {:>14} {:>14} {:>8} {:>8} {:>10} {:>10}",
-        "workload",
-        "columnar [ms]",
-        "row-major [ms]",
-        "per-tuple [ms]",
-        "col spd",
-        "speedup",
-        "blocks",
-        "rows"
-    );
-    for row in &rows {
-        println!(
-            "{:<24} {:>13.1} {:>14.1} {:>14.1} {:>7.2}x {:>7.2}x {:>10} {:>10}",
-            row.label,
-            row.ms_batched,
-            row.ms_row_major,
-            row.ms_per_tuple,
-            row.columnar_speedup(),
-            row.speedup(),
-            row.columnar_blocks,
-            row.result_rows
-        );
-    }
-    println!();
-    let kernels = measure_kernels(options.max_rows.max(1024) * 64, config);
-    println!(
-        "{:<14} {:>10} {:>16} {:>16} {:>8}",
-        "kernel", "rows", "typed [Mrow/s]", "scalar [Mrow/s]", "speedup"
-    );
-    for k in &kernels {
-        println!(
-            "{:<14} {:>10} {:>16.1} {:>16.1} {:>7.2}x",
-            k.kernel,
-            k.rows,
-            k.columnar_mrows_per_sec,
-            k.row_major_mrows_per_sec,
-            k.speedup()
-        );
-    }
-    println!();
-    write_json("batch", &batch_results_to_json("batch", &rows, &kernels));
-
-    // `--check` is the CI smoke gate of the batch layer. Correctness is
-    // unconditional (results bag-equal and operator counts identical
-    // across all three modes — asserted inside `measure_batch`, a
-    // divergence panics). The wall-time gates use the best *pairwise*
-    // ratio over the order-rotated measurement triples, with 10% jitter
-    // allowance: on a noisy shared machine one quiet triple is enough to
-    // show a layer is no slower, while a true regression is slower in
-    // every triple and fails. The columnar layer additionally must be
-    // strictly no slower than row-major batches on at least one point —
-    // jitter allowance everywhere must not excuse a uniform loss.
-    if options.check {
-        let mut failed = rows.is_empty();
-        if failed {
-            eprintln!("batch check: no points completed within the time budget");
-        }
-        for row in &rows {
-            if row.best_pair_ratio > 1.10 {
-                eprintln!(
-                    "batch check: {} ran slower batched than per-tuple in every pair \
-                     (best ratio {:.2}, min {:.1}ms vs {:.1}ms)",
-                    row.label, row.best_pair_ratio, row.ms_batched, row.ms_per_tuple
-                );
-                failed = true;
-            }
-            if row.best_columnar_ratio > 1.10 {
-                eprintln!(
-                    "batch check: {} ran slower columnar than row-major in every pair \
-                     (best ratio {:.2}, min {:.1}ms vs {:.1}ms)",
-                    row.label, row.best_columnar_ratio, row.ms_batched, row.ms_row_major
-                );
-                failed = true;
-            }
-            if row.vectorized_batches == 0 {
-                eprintln!(
-                    "batch check: {} never reached the vectorized evaluator",
-                    row.label
-                );
-                failed = true;
-            }
-            if row.columnar_blocks == 0 {
-                eprintln!(
-                    "batch check: {} never materialised a typed column block",
-                    row.label
-                );
-                failed = true;
-            }
-        }
-        if !rows.is_empty() && !rows.iter().any(|r| r.best_columnar_ratio <= 1.0) {
-            eprintln!(
-                "batch check: columnar execution was not at least as fast as row-major \
-                 on any point (best ratios: {})",
-                rows.iter()
-                    .map(|r| format!("{} {:.2}", r.label, r.best_columnar_ratio))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        let mean_speedup =
-            rows.iter().map(BatchPoint::speedup).sum::<f64>() / rows.len().max(1) as f64;
-        let mean_columnar =
-            rows.iter().map(BatchPoint::columnar_speedup).sum::<f64>() / rows.len().max(1) as f64;
-        println!(
-            "batch check passed: columnar execution no slower than row-major (ratio <= 1.10 \
-             everywhere, <= 1.00 somewhere, mean min-speedup {:.2}x) and batching no slower \
-             than per-tuple (mean min-speedup {:.2}x) at all {} points, results and operator \
-             counts identical",
-            mean_columnar,
-            mean_speedup,
-            rows.len()
-        );
-    }
-}
-
 fn robust(options: &Options, config: &BenchConfig) {
     println!(
         "== Resilience overhead — cancel-token checkpoints and the memory accountant armed \
@@ -545,7 +410,7 @@ fn robust(options: &Options, config: &BenchConfig) {
     // cancellation surfacing as `ExecError::Cancelled` — asserted inside
     // `measure_robust`, a divergence panics). The wall-time gate bounds the
     // armed-but-idle machinery at 5% using the best pairwise ratio over the
-    // order-alternated pairs, as in `batch --check`: one quiet pair shows
+    // order-alternated pairs: one quiet pair shows
     // the checkpoints are cheap, while true overhead is slower in every
     // pair. The latency gate requires zero checkpoints after the injected
     // cancellation — the query must return within the batch it was in.
@@ -635,8 +500,8 @@ fn spill(options: &Options, config: &BenchConfig) {
     // reaches at least one budget where the budgeted-but-spill-less
     // executor died with `ResourceExhausted` — the query class the spill
     // paths exist to rescue — and that spilling stays a bounded constant
-    // factor over the unbudgeted run (best pairwise ratio, as in `batch
-    // --check`, so shared-machine noise only inflates it).
+    // factor over the unbudgeted run (best pairwise ratio over
+    // order-alternated pairs, so shared-machine noise only inflates it).
     if options.check {
         let mut failed = rows.is_empty();
         if failed {
@@ -956,7 +821,7 @@ fn ablation(options: &Options, config: &BenchConfig) {
 
 fn print_usage() {
     println!(
-        "usage: harness <fig6|fig7|fig8|fig9|memo|opt|batch|robust|spill|obs|serve|concurrent|ablation|all> \
+        "usage: harness <fig6|fig7|fig8|fig9|memo|opt|robust|spill|obs|serve|concurrent|ablation|all> \
          [--scale xs|s|m|l] [--runs N] [--timeout SECS] [--seed N] [--max-rows N] [--rows N] \
          [--execs N] [--check]"
     );
@@ -968,11 +833,6 @@ fn print_usage() {
         "  --check (opt): exit non-zero unless the decorrelating optimizer evaluates \
          strictly fewer operators than the memo-only baseline at every point with more \
          outer rows than the correlation groups (and decorrelates every point)"
-    );
-    println!(
-        "  --check (batch): exit non-zero unless columnar execution is no slower than \
-         row-major batches (and batching no slower than per-tuple) at every point \
-         (results and operator counts always verified)"
     );
     println!(
         "  --check (robust): exit non-zero unless the armed cancel+budget machinery stays \

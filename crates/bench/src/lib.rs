@@ -12,10 +12,9 @@
 //! * An **ablation** comparing the strategies' rewrite structure (CrossBase
 //!   size, join counts) and run times on a fixed workload.
 //!
-//! The `harness` binary prints the same rows/series the paper reports;
-//! Criterion benches under `benches/` provide statistically robust versions
-//! of selected points.
+//! The `harness` binary prints the same rows/series the paper reports.
 
+use perm::PermError;
 use perm_core::{ProvenanceError, ProvenanceQuery, RewriteResult, Strategy};
 use perm_exec::{CancelToken, ExecError, Executor, FaultKind, FaultPlan, FaultSite};
 use perm_storage::Database;
@@ -25,7 +24,7 @@ use perm_tpch::{generate, sublink_queries, TpchScale};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Re-exported so the benches and the harness share one definition.
+/// Re-exported for the `harness` binary.
 pub use perm_synthetic::queries::build_database as synthetic_database;
 
 /// The outcome of measuring one (query, strategy) combination.
@@ -124,20 +123,21 @@ pub struct RunStats {
 }
 
 /// Rewrites a plan with the given strategy and executes it once, returning
-/// elapsed time, provenance rows and operator evaluations.
+/// elapsed time, provenance rows and operator evaluations. The execution is
+/// cancelled cooperatively once `deadline` has passed, failing with
+/// [`ExecError::Cancelled`] within one batch worth of work.
 pub fn run_provenance_query(
     db: &Database,
     plan: &perm_algebra::Plan,
     strategy: Strategy,
-) -> Result<RunStats, ProvenanceError> {
+    deadline: Duration,
+) -> Result<RunStats, PermError> {
     let rewritten: RewriteResult = ProvenanceQuery::new(db, plan)
         .strategy(strategy)
         .rewrite()?;
-    let executor = Executor::new(db);
+    let executor = Executor::new(db).with_deadline(deadline);
     let start = Instant::now();
-    let result = executor
-        .execute(rewritten.plan())
-        .map_err(|e| ProvenanceError::Exec(e.to_string()))?;
+    let result = executor.execute(rewritten.plan())?;
     Ok(RunStats {
         elapsed: start.elapsed(),
         provenance_rows: result.len(),
@@ -146,56 +146,39 @@ pub fn run_provenance_query(
 }
 
 /// Measures one (plan, strategy) combination under the configured time
-/// budget. The measurement runs on a worker thread; if the budget is
-/// exceeded the combination is reported as timed out (the worker is left to
-/// finish in the background, which is acceptable for a measurement harness).
+/// budget: every run carries a `config.timeout` deadline, and a run that
+/// exceeds it is cancelled and reports the combination as timed out.
 pub fn measure_plan(
     db: &Database,
     plan: &perm_algebra::Plan,
     strategy: Strategy,
     config: &BenchConfig,
 ) -> Measurement {
-    // Fast applicability check so inapplicable strategies do not burn a
-    // worker thread.
-    if let Err(ProvenanceError::NotApplicable { reason, .. }) =
-        ProvenanceQuery::new(db, plan).strategy(strategy).rewrite()
-    {
-        return Measurement::NotApplicable(reason);
-    }
-
-    let (sender, receiver) = mpsc::channel();
-    let db_clone = db.clone();
-    let plan_clone = plan.clone();
-    let runs = config.runs;
-    std::thread::spawn(move || {
-        let mut total = Duration::ZERO;
-        let mut rows = 0usize;
-        let mut ops = 0u64;
-        for _ in 0..runs {
-            match run_provenance_query(&db_clone, &plan_clone, strategy) {
-                Ok(stats) => {
-                    total += stats.elapsed;
-                    rows = stats.provenance_rows;
-                    ops = stats.operators_evaluated;
-                }
-                Err(e) => {
-                    let _ = sender.send(Err(e.to_string()));
-                    return;
-                }
+    let runs = config.runs.max(1);
+    let mut total = Duration::ZERO;
+    let mut provenance_rows = 0usize;
+    let mut operators_evaluated = 0u64;
+    for _ in 0..runs {
+        match run_provenance_query(db, plan, strategy, config.timeout) {
+            Ok(stats) => {
+                total += stats.elapsed;
+                provenance_rows = stats.provenance_rows;
+                operators_evaluated = stats.operators_evaluated;
             }
+            Err(PermError::Provenance(ProvenanceError::NotApplicable { reason, .. })) => {
+                return Measurement::NotApplicable(reason)
+            }
+            Err(PermError::Exec(ExecError::Cancelled { .. })) => {
+                return Measurement::TimedOut(config.timeout)
+            }
+            Err(e) => return Measurement::Failed(e.to_string()),
         }
-        let _ = sender.send(Ok((total / runs as u32, rows, ops)));
-    });
-
-    match receiver.recv_timeout(config.timeout.mul_f64(config.runs as f64)) {
-        Ok(Ok((avg, provenance_rows, operators_evaluated))) => Measurement::Completed {
-            avg,
-            runs,
-            provenance_rows,
-            operators_evaluated,
-        },
-        Ok(Err(e)) => Measurement::Failed(e),
-        Err(_) => Measurement::TimedOut(config.timeout),
+    }
+    Measurement::Completed {
+        avg: total / runs as u32,
+        runs,
+        provenance_rows,
+        operators_evaluated,
     }
 }
 
@@ -467,15 +450,16 @@ fn measure_opt_plan(
     let plan = plan.clone();
     let label_owned = label.to_string();
     std::thread::spawn(move || {
-        let measure = |optimizer: bool| {
+        let (optimized_plan, report) = perm_exec::optimize(&plan);
+        let measure = |plan: &perm_algebra::Plan| {
             let mut total_ms = 0.0;
             let mut ops = 0;
             let mut result = None;
             for _ in 0..runs {
-                let executor = Executor::new(&db).with_optimizer(optimizer);
+                let executor = Executor::new(&db);
                 let start = Instant::now();
                 let relation = executor
-                    .execute(&plan)
+                    .execute(plan)
                     .expect("correlated workload must run");
                 total_ms += start.elapsed().as_secs_f64() * 1000.0;
                 ops = executor.operators_evaluated();
@@ -483,13 +467,12 @@ fn measure_opt_plan(
             }
             (total_ms / runs as f64, ops, result.expect("runs >= 1"))
         };
-        let (ms_optimized, ops_optimized, optimized) = measure(true);
-        let (ms_baseline, ops_baseline, baseline) = measure(false);
+        let (ms_optimized, ops_optimized, optimized) = measure(&optimized_plan);
+        let (ms_baseline, ops_baseline, baseline) = measure(&plan);
         assert!(
             optimized.bag_eq(&baseline),
             "optimized and memo-only results must agree on {label_owned}"
         );
-        let (optimized_plan, report) = perm_exec::optimize(&plan);
         let _ = sender.send(OptComparison {
             label: label_owned,
             outer_rows,
@@ -557,405 +540,6 @@ pub fn measure_opt(
                 out.push(point);
             }
         }
-    }
-    out
-}
-
-/// One point of the three-mode executor comparison (`harness batch`): the
-/// same Gen-rewritten provenance plan executed with columnar batch blocks
-/// (the default), with row-major batching (`with_columnar(false)`), and with
-/// per-tuple dispatch (`with_batching(false)`).
-#[derive(Debug, Clone)]
-pub struct BatchPoint {
-    /// Workload label.
-    pub label: String,
-    /// Best (minimum) wall-clock milliseconds per execution in the default
-    /// columnar batched mode — the minimum over runs is the noise-robust
-    /// statistic on a shared machine.
-    pub ms_batched: f64,
-    /// Best wall-clock milliseconds per execution with batching on but the
-    /// columnar block layer off (row-major `Value` batches).
-    pub ms_row_major: f64,
-    /// Best wall-clock milliseconds per execution with per-tuple dispatch.
-    pub ms_per_tuple: f64,
-    /// The best (smallest) `columnar / per-tuple` wall-time ratio over the
-    /// measured triples — the gate statistic: one quiet triple is enough to
-    /// show batching is not slower, while a true regression is slower in
-    /// *every* triple. (Each triple rotates which mode runs first, so
-    /// machine warm-up cannot systematically favour one mode.)
-    pub best_pair_ratio: f64,
-    /// The best (smallest) `columnar / row-major` wall-time ratio over the
-    /// measured triples — the gate statistic of the columnar layer itself,
-    /// isolating the typed-lane kernels from the batching win.
-    pub best_columnar_ratio: f64,
-    /// Operator evaluations of one run — **identical in all three modes**
-    /// by construction (asserted): the counter is per logical operator
-    /// invocation, not per batch, and never depends on the column layout.
-    pub operators_evaluated: u64,
-    /// Expression-over-batch evaluations of one batched run.
-    pub vectorized_batches: u64,
-    /// Column blocks whose typed lanes were materialised during one
-    /// columnar run (counted on first lane access, so blocks that were
-    /// never read stay free).
-    pub columnar_blocks: u64,
-    /// Result rows (identical in all modes; asserted).
-    pub result_rows: usize,
-}
-
-impl BatchPoint {
-    /// `ms_per_tuple / ms_batched` — how many times faster the (columnar)
-    /// batched evaluator ran than per-tuple dispatch.
-    pub fn speedup(&self) -> f64 {
-        self.ms_per_tuple / self.ms_batched.max(1e-9)
-    }
-
-    /// `ms_row_major / ms_batched` — how many times faster the columnar
-    /// block layer ran than row-major batches.
-    pub fn columnar_speedup(&self) -> f64 {
-        self.ms_row_major / self.ms_batched.max(1e-9)
-    }
-}
-
-/// Measures one plan under the Gen provenance rewrite in the three
-/// execution modes — columnar batches, row-major batches, per-tuple
-/// dispatch (`config.runs` executions each, minimum wall time kept; results
-/// asserted bag-equal and operator counts asserted identical). `None` when
-/// the point exceeded the time budget or the rewrite is not applicable.
-fn measure_batch_plan(
-    db: &Database,
-    plan: &perm_algebra::Plan,
-    label: &str,
-    config: &BenchConfig,
-) -> Option<BatchPoint> {
-    /// Worker → driver messages: the warmup heartbeat lets the driver skip
-    /// a too-slow point after one `timeout` instead of waiting out the
-    /// whole multi-run budget.
-    enum Progress {
-        Warm,
-        Done(Option<BatchPoint>),
-    }
-    let runs = config.runs.max(1);
-    let (sender, receiver) = mpsc::channel();
-    let db = db.clone();
-    let plan = plan.clone();
-    let thread_label = label.to_string();
-    std::thread::spawn(move || {
-        let sender = &sender;
-        let send_done = |point| drop(sender.send(Progress::Done(point)));
-        let rewritten = match ProvenanceQuery::new(&db, &plan)
-            .strategy(Strategy::Gen)
-            .rewrite()
-        {
-            Ok(r) => r,
-            Err(_) => {
-                send_done(None);
-                return;
-            }
-        };
-        #[derive(Clone, Copy)]
-        enum Mode {
-            Columnar,
-            RowMajor,
-            PerTuple,
-        }
-        const MODES: [Mode; 3] = [Mode::Columnar, Mode::RowMajor, Mode::PerTuple];
-        let run_once = |mode: Mode| {
-            let executor = match mode {
-                Mode::Columnar => Executor::new(&db),
-                Mode::RowMajor => Executor::new(&db).with_columnar(false),
-                Mode::PerTuple => Executor::new(&db).with_batching(false),
-            };
-            let start = Instant::now();
-            let relation = executor
-                .execute(rewritten.plan())
-                .expect("batch workload must run");
-            let ms = start.elapsed().as_secs_f64() * 1000.0;
-            (
-                ms,
-                executor.operators_evaluated(),
-                executor.batches_vectorized(),
-                executor.columnar_blocks(),
-                relation,
-            )
-        };
-        // One untimed warmup (doubling as the liveness probe), then the
-        // modes run in triples whose lead rotates: measuring one mode
-        // entirely before the others — or always in the same position
-        // within a triple — would hand the favoured mode a warmer
-        // allocator and page cache and bias the comparison systematically.
-        let _ = run_once(Mode::Columnar);
-        let _ = sender.send(Progress::Warm);
-        let mut ms_batched = f64::INFINITY;
-        let mut ms_row_major = f64::INFINITY;
-        let mut ms_per_tuple = f64::INFINITY;
-        let mut best_pair_ratio = f64::INFINITY;
-        let mut best_columnar_ratio = f64::INFINITY;
-        let mut ops_columnar = 0;
-        let mut ops_row_major = 0;
-        let mut ops_per_tuple = 0;
-        let mut vectorized_batches = 0;
-        let mut columnar_blocks = 0;
-        let mut columnar = None;
-        let mut row_major = None;
-        let mut per_tuple = None;
-        for triple in 0..runs {
-            let mut triple_ms = [0.0f64; 3];
-            for slot in 0..MODES.len() {
-                let mode = MODES[(slot + triple) % MODES.len()];
-                let (ms, ops, batches, blocks, relation) = run_once(mode);
-                match mode {
-                    Mode::Columnar => {
-                        triple_ms[0] = ms;
-                        ms_batched = ms_batched.min(ms);
-                        ops_columnar = ops;
-                        vectorized_batches = batches;
-                        columnar_blocks = blocks;
-                        columnar = Some(relation);
-                    }
-                    Mode::RowMajor => {
-                        triple_ms[1] = ms;
-                        ms_row_major = ms_row_major.min(ms);
-                        ops_row_major = ops;
-                        row_major = Some(relation);
-                    }
-                    Mode::PerTuple => {
-                        triple_ms[2] = ms;
-                        ms_per_tuple = ms_per_tuple.min(ms);
-                        ops_per_tuple = ops;
-                        per_tuple = Some(relation);
-                    }
-                }
-            }
-            best_pair_ratio = best_pair_ratio.min(triple_ms[0] / triple_ms[2].max(1e-9));
-            best_columnar_ratio = best_columnar_ratio.min(triple_ms[0] / triple_ms[1].max(1e-9));
-        }
-        let columnar = columnar.expect("runs >= 1");
-        let row_major = row_major.expect("runs >= 1");
-        let per_tuple = per_tuple.expect("runs >= 1");
-        assert!(
-            columnar.bag_eq(&row_major),
-            "columnar and row-major results must agree on {thread_label}"
-        );
-        assert!(
-            columnar.bag_eq(&per_tuple),
-            "batched and per-tuple results must agree on {thread_label}"
-        );
-        assert_eq!(
-            ops_columnar, ops_row_major,
-            "operators_evaluated must not depend on the column layout on {thread_label}"
-        );
-        assert_eq!(
-            ops_columnar, ops_per_tuple,
-            "operators_evaluated must not depend on batching on {thread_label}"
-        );
-        send_done(Some(BatchPoint {
-            label: thread_label,
-            ms_batched,
-            ms_row_major,
-            ms_per_tuple,
-            best_pair_ratio,
-            best_columnar_ratio,
-            operators_evaluated: ops_columnar,
-            vectorized_batches,
-            columnar_blocks,
-            result_rows: columnar.len(),
-        }));
-    });
-    // Phase 1: the warmup execution must land within one `timeout` — a
-    // point that cannot even warm up is skipped immediately instead of
-    // waiting out the full multi-run budget. Phase 2: the measured runs
-    // get the remaining budget.
-    match receiver.recv_timeout(config.timeout) {
-        Ok(Progress::Warm) => {}
-        Ok(Progress::Done(point)) => return point,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            eprintln!("batch point {label} exceeded the warmup budget; skipped");
-            return None;
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            panic!("batch measurement worker for {label} failed")
-        }
-    }
-    match receiver.recv_timeout(config.timeout.mul_f64(3.0 * runs as f64)) {
-        Ok(Progress::Done(point)) => point,
-        Ok(Progress::Warm) => unreachable!("warmup heartbeat sent once"),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            eprintln!("batch point {label} exceeded the time budget; skipped");
-            None
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            panic!("batch measurement worker for {label} failed")
-        }
-    }
-}
-
-/// The batched-execution comparison (`harness batch`): the Fig. 7 synthetic
-/// workload (q1/q2/q3 under the Gen provenance rewrite at the largest sweep
-/// point) and the TPC-H sublink queries at the given scale, each executed
-/// in three modes — columnar batches (default), row-major batches, and
-/// per-tuple dispatch. Correctness is asserted inside (`bag_eq` between all
-/// modes, identical `operators_evaluated`); the wall-time inequalities are
-/// the `--check` gate's job.
-pub fn measure_batch(max_rows: usize, scale: TpchScale, config: &BenchConfig) -> Vec<BatchPoint> {
-    let mut out = Vec::new();
-    let db = build_database(max_rows, max_rows / 5, config.seed);
-    let params = random_range(max_rows, max_rows / 5, config.seed);
-    for (kind, name) in [
-        (QueryKind::Q1EqualityAny, "q1"),
-        (QueryKind::Q2InequalityAll, "q2"),
-        (QueryKind::Q3CorrelatedExists, "q3"),
-    ] {
-        let plan = build_query(&db, params, kind);
-        let label = format!("fig7 {name} |R1|={max_rows}");
-        out.extend(measure_batch_plan(&db, &plan, &label, config));
-    }
-    let tpch = generate(scale, config.seed);
-    for template in sublink_queries() {
-        let sql = template.instantiate(config.seed);
-        let Ok((plan, _)) = perm_sql::compile(&tpch, &sql) else {
-            continue;
-        };
-        let label = format!("tpch Q{}", template.id);
-        out.extend(measure_batch_plan(&tpch, &plan, &label, config));
-    }
-    out
-}
-
-/// Renders batch comparison points plus the per-kernel throughput rows as
-/// JSON (`BENCH_batch.json`).
-pub fn batch_results_to_json(figure: &str, rows: &[BatchPoint], kernels: &[KernelPoint]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"figure\":\"{}\",\"rows\":[",
-        json_escape(figure)
-    ));
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"ms_batched\":{:.3},\"ms_row_major\":{:.3},\
-             \"ms_per_tuple\":{:.3},\"speedup\":{:.2},\"columnar_speedup\":{:.2},\
-             \"best_pair_ratio\":{:.3},\"best_columnar_ratio\":{:.3},\
-             \"operators_evaluated\":{},\"vectorized_batches\":{},\
-             \"columnar_blocks\":{},\"result_rows\":{}}}",
-            json_escape(&row.label),
-            row.ms_batched,
-            row.ms_row_major,
-            row.ms_per_tuple,
-            row.speedup(),
-            row.columnar_speedup(),
-            row.best_pair_ratio,
-            row.best_columnar_ratio,
-            row.operators_evaluated,
-            row.vectorized_batches,
-            row.columnar_blocks,
-            row.result_rows
-        ));
-    }
-    out.push_str("],\"kernels\":[");
-    for (i, k) in kernels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"kernel\":\"{}\",\"rows\":{},\"columnar_mrows_per_sec\":{:.2},\
-             \"row_major_mrows_per_sec\":{:.2},\"speedup\":{:.2}}}",
-            json_escape(&k.kernel),
-            k.rows,
-            k.columnar_mrows_per_sec,
-            k.row_major_mrows_per_sec,
-            k.speedup()
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Throughput of one typed-kernel micro-measurement (`harness batch`): the
-/// same operator applied via [`perm_exec::kernels::binary_column`] over
-/// contiguous typed lanes and over a `Value`-vector lane, which routes
-/// through the scalar per-row path. Isolates the kernel itself from plan
-/// overhead.
-#[derive(Debug, Clone)]
-pub struct KernelPoint {
-    /// Kernel label, e.g. `cmp_lt_i64`.
-    pub kernel: String,
-    /// Column length of one application.
-    pub rows: usize,
-    /// Best throughput over typed lanes, in millions of rows per second.
-    pub columnar_mrows_per_sec: f64,
-    /// Best throughput over `Value`-vector lanes (the scalar fallback path).
-    pub row_major_mrows_per_sec: f64,
-}
-
-impl KernelPoint {
-    /// Typed-lane throughput over scalar-path throughput.
-    pub fn speedup(&self) -> f64 {
-        self.columnar_mrows_per_sec / self.row_major_mrows_per_sec.max(1e-9)
-    }
-}
-
-/// Measures the typed column kernels in isolation: each kernel runs over a
-/// freshly cloned pair of `rows`-long columns, once with typed lanes
-/// (Int/Float/Str vectors plus validity bitmaps) and once with the same
-/// data in `Value`-vector lanes, which [`perm_exec::kernels::binary_column`]
-/// evaluates through the scalar per-row path. Every 64th row is NULL so the
-/// validity-bitmap path is exercised. Best-of-`config.runs` wall time is
-/// kept; the clone cost is paid identically on both sides.
-pub fn measure_kernels(rows: usize, config: &BenchConfig) -> Vec<KernelPoint> {
-    use perm_algebra::{BinaryOp, CompareOp};
-    use perm_exec::kernels::binary_column;
-    use perm_storage::{ColumnVec, Value};
-
-    let runs = config.runs.max(1);
-    let build = |make: &dyn Fn(usize) -> Value, typed: bool| {
-        let mut col = if typed {
-            ColumnVec::typed_for(&make(0), rows)
-        } else {
-            ColumnVec::values_with_capacity(rows)
-        };
-        for i in 0..rows {
-            col.push_value(if i % 64 == 63 { Value::Null } else { make(i) });
-        }
-        col
-    };
-    let int = |i: usize| Value::Int(i as i64 % 1009);
-    let float = |i: usize| Value::Float((i % 1009) as f64 * 0.5);
-    let string = |i: usize| Value::Str(format!("k{:04}", i % 331));
-
-    type MakeValue<'a> = &'a dyn Fn(usize) -> Value;
-    let kernels: Vec<(&str, BinaryOp, MakeValue)> = vec![
-        ("cmp_lt_i64", BinaryOp::Cmp(CompareOp::Lt), &int),
-        ("cmp_eq_i64", BinaryOp::Cmp(CompareOp::Eq), &int),
-        ("add_i64", BinaryOp::Add, &int),
-        ("mul_f64", BinaryOp::Mul, &float),
-        ("cmp_eq_str", BinaryOp::Cmp(CompareOp::Eq), &string),
-    ];
-    let mut out = Vec::new();
-    for (name, op, make) in kernels {
-        let mut best = [f64::INFINITY; 2];
-        for run in 0..runs {
-            // The typed and scalar sides alternate lead within each run,
-            // mirroring the plan-level measurement protocol.
-            for side in [run % 2, (run + 1) % 2] {
-                let typed = side == 0;
-                let l = build(make, typed);
-                let r = build(make, typed);
-                let start = Instant::now();
-                let (result, _fell_back) =
-                    binary_column(op, l, r).expect("kernel micro-bench must not error");
-                let secs = start.elapsed().as_secs_f64();
-                assert_eq!(result.len(), rows);
-                best[side] = best[side].min(secs);
-            }
-        }
-        out.push(KernelPoint {
-            kernel: name.to_string(),
-            rows,
-            columnar_mrows_per_sec: rows as f64 / best[0].max(1e-9) / 1e6,
-            row_major_mrows_per_sec: rows as f64 / best[1].max(1e-9) / 1e6,
-        });
     }
     out
 }
@@ -2261,6 +1845,30 @@ mod tests {
     }
 
     #[test]
+    fn an_overrun_provenance_run_is_cancelled_at_its_deadline() {
+        // Gen over the correlated q3 evaluates its witness-check sublink
+        // once per outer row: far more than 1 ms of work, so the run must
+        // end in a cancellation soon after its deadline.
+        let db = build_database(400, 400, 5);
+        let plan = build_query(
+            &db,
+            random_range(400, 400, 5),
+            QueryKind::Q3CorrelatedExists,
+        );
+        let start = Instant::now();
+        let result = run_provenance_query(&db, &plan, Strategy::Gen, Duration::from_millis(1));
+        assert!(
+            matches!(result, Err(PermError::Exec(ExecError::Cancelled { .. }))),
+            "expected a cancellation, got {result:?}"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "cancellation took {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
     fn synthetic_measurement_produces_completed_cells() {
         let rows = measure_synthetic_sweep(SyntheticSweep::VaryBoth, 60, &quick_config());
         assert!(!rows.is_empty());
@@ -2418,48 +2026,6 @@ mod tests {
         assert!(json.starts_with("{\"figure\":\"concurrent\""));
         assert!(json.contains("\"requests_per_sec\":"));
         assert!(json.contains("\"single_query\":["));
-    }
-
-    #[test]
-    fn batch_measurement_reports_three_modes_and_kernel_throughput() {
-        // Timing-free assertions only: the wall-time ratios are gated by
-        // `harness batch --check` in CI (timing noise on a loaded machine
-        // must not fail `cargo test`). Bag equality and operator-count
-        // parity across the three modes are asserted inside
-        // `measure_batch_plan` itself and would panic here.
-        let points = measure_batch(200, TpchScale::new(0.0001), &quick_config());
-        assert!(!points.is_empty());
-        for point in &points {
-            assert!(
-                point.vectorized_batches > 0,
-                "{} never reached the vectorized evaluator",
-                point.label
-            );
-            assert!(
-                point.columnar_blocks > 0,
-                "{} never materialised a typed column block",
-                point.label
-            );
-            assert!(point.ms_batched.is_finite());
-            assert!(point.ms_row_major.is_finite());
-            assert!(point.ms_per_tuple.is_finite());
-            assert!(point.best_pair_ratio.is_finite());
-            assert!(point.best_columnar_ratio.is_finite());
-        }
-        let kernels = measure_kernels(4096, &quick_config());
-        assert_eq!(kernels.len(), 5);
-        for kernel in &kernels {
-            assert_eq!(kernel.rows, 4096);
-            assert!(kernel.columnar_mrows_per_sec > 0.0);
-            assert!(kernel.row_major_mrows_per_sec > 0.0);
-        }
-        let json = batch_results_to_json("batch", &points, &kernels);
-        assert!(json.starts_with("{\"figure\":\"batch\",\"rows\":["));
-        assert!(json.contains("\"ms_row_major\":"));
-        assert!(json.contains("\"best_columnar_ratio\":"));
-        assert!(json.contains("\"columnar_blocks\":"));
-        assert!(json.contains("\"kernels\":["));
-        assert!(json.contains("\"cmp_lt_i64\""));
     }
 
     #[test]

@@ -24,8 +24,8 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A completed pipeline phase; `value` is its wall time in nanoseconds
-    /// and `label` the phase name (`parse`, `bind`, `rewrite`, `compile`,
-    /// `execute`).
+    /// and `label` the phase name (`parse`, `bind`, `rewrite`, `optimize`,
+    /// `compile`, `execute`).
     Phase,
     /// A sublink-memo insertion; `value` is the entry's accounted bytes.
     MemoInsert,

@@ -123,8 +123,8 @@ impl ColumnBlock {
 
 /// A block of tuples with an optional selection vector and an optional
 /// columnar view. `sel: None` means all rows are live (the dense fast
-/// path — no selection allocation); `cols: None` means expressions run
-/// row-major.
+/// path — no selection allocation); `cols: None` means slot lanes are
+/// classified straight from the live rows, with no lane cache.
 #[derive(Debug, Clone, Copy)]
 pub struct Batch<'a> {
     rows: &'a [Tuple],
@@ -153,26 +153,9 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// A batch restricted to the rows named by `sel` (must satisfy the
-    /// module-level selection-vector invariants).
-    pub fn with_selection(rows: &'a [Tuple], sel: &'a [usize]) -> Batch<'a> {
-        debug_assert!(
-            sel.windows(2).all(|w| w[0] < w[1]),
-            "selection not ascending"
-        );
-        debug_assert!(
-            sel.iter().all(|&i| i < rows.len()),
-            "selection out of bounds"
-        );
-        Batch {
-            rows,
-            sel: Some(sel),
-            cols: None,
-        }
-    }
-
     /// This batch narrowed to the rows named by `sel` (indices into
-    /// [`Batch::rows`], same invariants as [`Batch::with_selection`]),
+    /// [`Batch::rows`], satisfying the module-level selection-vector
+    /// invariants),
     /// keeping the columnar view so sub-selections — CASE arms, the
     /// undecided rows of AND/OR — still gather from cached lanes.
     pub fn narrow<'b>(&self, sel: &'b [usize]) -> Batch<'b>
@@ -275,12 +258,12 @@ mod tests {
     fn selection_restricts_and_preserves_order() {
         let r = rows(5);
         let sel = [1usize, 3, 4];
-        let b = Batch::with_selection(&r, &sel);
+        let b = Batch::dense(&r).narrow(&sel);
         assert_eq!(b.len(), 3);
         assert_eq!(b.row(0).get(0), &Value::Int(1));
         assert_eq!(b.row_index(1), 3);
         let empty: [usize; 0] = [];
-        assert!(Batch::with_selection(&r, &empty).is_empty());
+        assert!(Batch::dense(&r).narrow(&empty).is_empty());
     }
 
     #[test]
@@ -325,7 +308,7 @@ mod tests {
             n.columns().is_some(),
             "narrowing must keep the columnar view"
         );
-        // with_selection (the row-major constructor) deliberately drops it.
-        assert!(Batch::with_selection(&r, &sel).columns().is_none());
+        // Narrowing a batch without a columnar view adds none.
+        assert!(Batch::dense(&r).narrow(&sel).columns().is_none());
     }
 }

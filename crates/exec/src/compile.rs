@@ -676,8 +676,7 @@ use crate::cursor::streams_lazily;
 
 impl Executor<'_> {
     /// Recursive compiled-path plan evaluation: executes children, wraps
-    /// the vectorized batch evaluator (`Executor::ceval_batch`, or the
-    /// per-tuple [`Executor::ceval`] when batching is disabled) into
+    /// the vectorized batch evaluator (`Executor::ceval_batch`) into
     /// batch-evaluator closures over a [`Frame`] slot chain, and delegates
     /// every operator body to `crate::physical` — the same bodies the
     /// interpreter drives. `frame` is the runtime scope chain for
@@ -797,7 +796,7 @@ impl Executor<'_> {
                         &child,
                         schema.clone(),
                         *distinct,
-                        |batch, out| self.project_batch(items, batch, frame, out),
+                        |batch, out| self.project_rows_vectorized(items, batch, frame, out),
                     )
                 })
             }
@@ -807,7 +806,7 @@ impl Executor<'_> {
                 let child = self.execute_compiled_node(input, frame, prof.map(|p| p.child(0)))?;
                 self.profiled(prof, child.len() as u64, || {
                     physical::select(probe, gov, &child, |batch, out| {
-                        self.predicate_batch(predicate, batch, frame, out)
+                        self.predicate_truths_vectorized(predicate, batch, frame, out)
                     })
                 })
             }
@@ -851,7 +850,7 @@ impl Executor<'_> {
                         &null_safe,
                         |batch, i, col| self.expr_batch(&equi_keys[i].left, batch, frame, col),
                         |batch, i, col| self.expr_batch(&equi_keys[i].right, batch, frame, col),
-                        |batch, out| self.predicate_batch(condition, batch, frame, out),
+                        |batch, out| self.predicate_truths_vectorized(condition, batch, frame, out),
                     )
                 })
             }
@@ -964,14 +963,14 @@ impl Executor<'_> {
         Ok(())
     }
 
-    /// The bare-column bypass: a depth-0 `Slot` item under columnar
-    /// execution gathers its values straight from the rows instead of
+    /// The bare-column bypass: a depth-0 `Slot` item gathers its values
+    /// straight from the rows instead of
     /// round-tripping through the block's lane cache, which would cost one
     /// extra full-column copy (gather-from-lane after classify-into-lane)
     /// for a value that is consumed exactly once. Counts as one vectorized
     /// batch, exactly like the dispatch it replaces.
     fn bare_slot_column(&self, item: &CompiledExpr, batch: &Batch<'_>) -> Option<ColumnVec> {
-        if !self.columnar_enabled.get() || batch.is_empty() {
+        if batch.is_empty() {
             return None;
         }
         match item {
@@ -1021,48 +1020,6 @@ impl Executor<'_> {
         Ok(())
     }
 
-    /// Projection over one batch for the compiled driver: vectorized, or
-    /// the classic per-tuple loop when batching is disabled.
-    fn project_batch(
-        &self,
-        items: &[CompiledExpr],
-        batch: &Batch<'_>,
-        outer: Option<&Frame<'_>>,
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        if !self.batch_enabled.get() {
-            for tuple in batch.iter() {
-                let scope = Frame::new(outer, tuple);
-                let mut row = Vec::with_capacity(items.len());
-                for item in items {
-                    row.push(self.ceval(item, Some(&scope))?);
-                }
-                out.push(Tuple::new(row));
-            }
-            return Ok(());
-        }
-        self.project_rows_vectorized(items, batch, outer, out)
-    }
-
-    /// Predicate over one batch for the compiled driver: one three-valued
-    /// TRUE verdict per live row.
-    fn predicate_batch(
-        &self,
-        predicate: &CompiledExpr,
-        batch: &Batch<'_>,
-        outer: Option<&Frame<'_>>,
-        out: &mut Vec<bool>,
-    ) -> Result<()> {
-        if !self.batch_enabled.get() {
-            for tuple in batch.iter() {
-                let scope = Frame::new(outer, tuple);
-                out.push(self.ceval(predicate, Some(&scope))?.as_truth().is_true());
-            }
-            return Ok(());
-        }
-        self.predicate_truths_vectorized(predicate, batch, outer, out)
-    }
-
     /// A single expression over one batch for the compiled driver (join
     /// keys): one value per live row, in a column. A bare depth-0 slot
     /// classifies straight into a typed lane — the common equi-key shape,
@@ -1076,14 +1033,7 @@ impl Executor<'_> {
         outer: Option<&Frame<'_>>,
         out: &mut ColumnVec,
     ) -> Result<()> {
-        if !self.batch_enabled.get() {
-            for tuple in batch.iter() {
-                let scope = Frame::new(outer, tuple);
-                out.push_value(self.ceval(expr, Some(&scope))?);
-            }
-            return Ok(());
-        }
-        if self.columnar_enabled.get() && !batch.is_empty() {
+        if !batch.is_empty() {
             if let CompiledExpr::Slot(slot) = expr {
                 if slot.depth == 0 {
                     self.batches_vectorized
@@ -1106,13 +1056,6 @@ impl Executor<'_> {
         outer: Option<&Frame<'_>>,
         out: &mut Vec<Value>,
     ) -> Result<()> {
-        if !self.batch_enabled.get() {
-            for tuple in batch.iter() {
-                let scope = Frame::new(outer, tuple);
-                out.push(self.ceval(expr, Some(&scope))?);
-            }
-            return Ok(());
-        }
         if let Some(col) = self.bare_slot_column(expr, batch) {
             col.append_to_values(out);
             return Ok(());
@@ -1137,7 +1080,7 @@ impl Executor<'_> {
     /// * an empty selection evaluates nothing, so deferred errors behind it
     ///   are never raised;
     /// * sublink-bearing subtrees fall back to the per-tuple evaluator row
-    ///   by row (see the `Sublink` arm of `ceval_cols`), leaving the
+    ///   by row (see the `Sublink` arm of `ceval_typed`), leaving the
     ///   parameterized sublink memo and the
     ///   [`Executor::execute_memoized_sublink`] seam untouched.
     ///
@@ -1147,11 +1090,8 @@ impl Executor<'_> {
     /// subexpression) pairs — and hence whether an error occurs at all — is
     /// identical.
     ///
-    /// With columnar execution enabled (the default), evaluation runs
-    /// through [`Executor::ceval_typed`] over typed [`ColumnVec`] lanes;
-    /// with it disabled, through the row-major [`Executor::ceval_cols`]
-    /// whose result is wrapped in a `Values` lane. Both produce one value
-    /// per live row in selection order.
+    /// Evaluation runs through [`Executor::ceval_typed`] over typed
+    /// [`ColumnVec`] lanes.
     pub(crate) fn ceval_batch(
         &self,
         expr: &CompiledExpr,
@@ -1163,13 +1103,7 @@ impl Executor<'_> {
         }
         self.batches_vectorized
             .set(self.batches_vectorized.get() + 1);
-        if self.columnar_enabled.get() {
-            self.ceval_typed(expr, batch, outer)
-        } else {
-            let mut out = Vec::with_capacity(batch.len());
-            self.ceval_cols(expr, batch, outer, &mut out)?;
-            Ok(ColumnVec::Values(out))
-        }
+        self.ceval_typed(expr, batch, outer)
     }
 
     /// The columnar recursive body of [`Executor::ceval_batch`]: returns a
@@ -1247,9 +1181,9 @@ impl Executor<'_> {
                 Ok(col)
             }
             CompiledExpr::Func { name, args } => {
-                // Function application is row-major by nature in both
-                // modes (arguments gathered into a scratch row), so this
-                // is not counted as a columnar fallback.
+                // Function application is row-major by nature (arguments
+                // gathered into a scratch row), so this is not counted as
+                // a columnar fallback.
                 let mut cols: Vec<ColumnVec> = Vec::with_capacity(args.len());
                 for a in args {
                     cols.push(self.ceval_typed(a, batch, outer)?);
@@ -1317,7 +1251,9 @@ impl Executor<'_> {
     /// dense and allocation-free; when it decides every row, the right
     /// operand never runs; only the mixed case pays for a sub-selection
     /// (narrowed through [`Batch::narrow`], keeping the lane cache). The
-    /// per-row short-circuit semantics are those of `ceval_logic_cols`.
+    /// right operand sees only the rows the left operand left undecided, so a
+    /// FALSE left conjunct shields a failing right conjunct for exactly
+    /// its rows, as in per-tuple `ceval`.
     fn ceval_logic_typed(
         &self,
         op: BinaryOp,
@@ -1378,10 +1314,9 @@ impl Executor<'_> {
         ))
     }
 
-    /// Columnar `CASE`: identical branch-narrowing discipline to the
-    /// row-major `Case` arm of `ceval_cols` (a row that took an earlier
-    /// branch never evaluates a later condition; an exhausted selection
-    /// stops evaluating branches entirely), with sub-batches narrowed
+    /// Columnar `CASE`: a row that took an earlier branch never evaluates
+    /// a later condition, and an exhausted selection stops evaluating
+    /// branches entirely, with sub-batches narrowed
     /// through [`Batch::narrow`] so the lane cache stays reachable.
     fn ceval_case_typed(
         &self,
@@ -1439,250 +1374,6 @@ impl Executor<'_> {
             out.push(v.expect("every live row took a branch or the else"));
         }
         Ok(ColumnVec::Values(out))
-    }
-
-    /// The recursive body of [`Executor::ceval_batch`]: exactly
-    /// `batch.len()` values are appended to `out`, aligned with the live
-    /// selection. Sub-selections (undecided `AND`/`OR` rows, `CASE` branch
-    /// takers) recurse through [`Batch::with_selection`] over the same row
-    /// block.
-    fn ceval_cols(
-        &self,
-        expr: &CompiledExpr,
-        batch: &Batch<'_>,
-        outer: Option<&Frame<'_>>,
-        out: &mut Vec<Value>,
-    ) -> Result<()> {
-        let n = batch.len();
-        if n == 0 {
-            return Ok(());
-        }
-        match expr {
-            CompiledExpr::Slot(slot) => {
-                if slot.depth == 0 {
-                    for i in 0..n {
-                        out.push(batch.row(i).get(slot.index).clone());
-                    }
-                } else {
-                    // An outer-scope slot is constant across the batch: the
-                    // evaluation scope of row `t` is `Frame::new(outer, t)`,
-                    // so depth `d > 0` resolves in the outer chain at
-                    // `d - 1` regardless of `t`.
-                    match outer {
-                        Some(frame) => {
-                            let v = frame.get(Slot {
-                                depth: slot.depth - 1,
-                                index: slot.index,
-                            });
-                            for _ in 0..n {
-                                out.push(v.clone());
-                            }
-                        }
-                        None => {
-                            return Err(ExecError::Storage(StorageError::UnknownAttribute(
-                                "<compiled slot without scope>".into(),
-                            )))
-                        }
-                    }
-                }
-            }
-            CompiledExpr::Unresolved { name, ambiguous } => {
-                return Err(ExecError::Storage(if *ambiguous {
-                    StorageError::AmbiguousAttribute(name.clone())
-                } else {
-                    StorageError::UnknownAttribute(name.clone())
-                }))
-            }
-            CompiledExpr::Literal(v) => {
-                for _ in 0..n {
-                    out.push(v.clone());
-                }
-            }
-            CompiledExpr::Param(index) => {
-                let v = self.param_value(*index)?;
-                for _ in 0..n {
-                    out.push(v.clone());
-                }
-            }
-            CompiledExpr::Binary { op, left, right }
-                if matches!(op, BinaryOp::And | BinaryOp::Or) =>
-            {
-                self.ceval_logic_cols(*op, left, right, batch, outer, out)?;
-            }
-            CompiledExpr::Binary { op, left, right } => {
-                let mut lvals = Vec::with_capacity(n);
-                self.ceval_cols(left, batch, outer, &mut lvals)?;
-                let mut rvals = Vec::with_capacity(n);
-                self.ceval_cols(right, batch, outer, &mut rvals)?;
-                for (l, r) in lvals.iter().zip(&rvals) {
-                    out.push(apply_binary_scalar(*op, l, r)?);
-                }
-            }
-            CompiledExpr::Unary { op, expr } => {
-                let mut vals = Vec::with_capacity(n);
-                self.ceval_cols(expr, batch, outer, &mut vals)?;
-                for v in vals {
-                    out.push(apply_unary(*op, v)?);
-                }
-            }
-            CompiledExpr::Func { name, args } => {
-                let mut cols: Vec<Vec<Value>> = Vec::with_capacity(args.len());
-                for a in args {
-                    let mut col = Vec::with_capacity(n);
-                    self.ceval_cols(a, batch, outer, &mut col)?;
-                    cols.push(col);
-                }
-                let mut scratch: Vec<Value> = Vec::with_capacity(args.len());
-                for i in 0..n {
-                    scratch.clear();
-                    for col in cols.iter_mut() {
-                        // Move, don't clone: each column cell is consumed
-                        // exactly once.
-                        scratch.push(std::mem::replace(&mut col[i], Value::Null));
-                    }
-                    out.push(crate::eval::apply_func(*name, &scratch)?);
-                }
-            }
-            CompiledExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                let mut result: Vec<Option<Value>> = vec![None; n];
-                let mut remaining_rows: Vec<usize> = (0..n).map(|i| batch.row_index(i)).collect();
-                let mut remaining_pos: Vec<usize> = (0..n).collect();
-                for (cond, branch_value) in branches {
-                    if remaining_rows.is_empty() {
-                        break;
-                    }
-                    let mut cvals = Vec::with_capacity(remaining_rows.len());
-                    self.ceval_cols(
-                        cond,
-                        &Batch::with_selection(batch.rows(), &remaining_rows),
-                        outer,
-                        &mut cvals,
-                    )?;
-                    let mut take_rows = Vec::new();
-                    let mut take_pos = Vec::new();
-                    let mut keep_rows = Vec::new();
-                    let mut keep_pos = Vec::new();
-                    for (k, c) in cvals.iter().enumerate() {
-                        if c.as_truth().is_true() {
-                            take_rows.push(remaining_rows[k]);
-                            take_pos.push(remaining_pos[k]);
-                        } else {
-                            keep_rows.push(remaining_rows[k]);
-                            keep_pos.push(remaining_pos[k]);
-                        }
-                    }
-                    let mut tvals = Vec::with_capacity(take_rows.len());
-                    self.ceval_cols(
-                        branch_value,
-                        &Batch::with_selection(batch.rows(), &take_rows),
-                        outer,
-                        &mut tvals,
-                    )?;
-                    for (p, v) in take_pos.into_iter().zip(tvals) {
-                        result[p] = Some(v);
-                    }
-                    remaining_rows = keep_rows;
-                    remaining_pos = keep_pos;
-                }
-                if !remaining_rows.is_empty() {
-                    match else_expr {
-                        Some(e) => {
-                            let mut evals = Vec::with_capacity(remaining_rows.len());
-                            self.ceval_cols(
-                                e,
-                                &Batch::with_selection(batch.rows(), &remaining_rows),
-                                outer,
-                                &mut evals,
-                            )?;
-                            for (p, v) in remaining_pos.into_iter().zip(evals) {
-                                result[p] = Some(v);
-                            }
-                        }
-                        None => {
-                            for p in remaining_pos {
-                                result[p] = Some(Value::Null);
-                            }
-                        }
-                    }
-                }
-                for v in result {
-                    out.push(v.expect("every live row took a branch or the else"));
-                }
-            }
-            CompiledExpr::Sublink(sublink) => {
-                // Per-tuple fallback: sublink evaluation goes through the
-                // parameterized memo (and, for ANY/ALL, the verdict memo)
-                // exactly as in tuple-at-a-time execution.
-                for i in 0..n {
-                    let scope = Frame::new(outer, batch.row(i));
-                    out.push(self.ceval_sublink(sublink, Some(&scope))?);
-                }
-                self.batch_fallback_rows
-                    .set(self.batch_fallback_rows.get() + n as u64);
-            }
-        }
-        Ok(())
-    }
-
-    /// Vectorized `AND`/`OR`: the right operand is evaluated only over the
-    /// sub-selection of rows the left operand left undecided, preserving
-    /// per-row short-circuit semantics (a FALSE left conjunct shields a
-    /// failing right conjunct for its rows and no others).
-    fn ceval_logic_cols(
-        &self,
-        op: BinaryOp,
-        left: &CompiledExpr,
-        right: &CompiledExpr,
-        batch: &Batch<'_>,
-        outer: Option<&Frame<'_>>,
-        out: &mut Vec<Value>,
-    ) -> Result<()> {
-        let n = batch.len();
-        let mut lvals = Vec::with_capacity(n);
-        self.ceval_cols(left, batch, outer, &mut lvals)?;
-        let mut ltruths: Vec<Truth> = Vec::with_capacity(n);
-        let mut need_rows: Vec<usize> = Vec::new();
-        let mut need_pos: Vec<usize> = Vec::new();
-        for (i, l) in lvals.iter().enumerate() {
-            let t = l.as_truth();
-            let decided = (op == BinaryOp::And && t == Truth::False)
-                || (op == BinaryOp::Or && t == Truth::True);
-            if !decided {
-                need_rows.push(batch.row_index(i));
-                need_pos.push(i);
-            }
-            ltruths.push(t);
-        }
-        let mut rvals = Vec::with_capacity(need_rows.len());
-        self.ceval_cols(
-            right,
-            &Batch::with_selection(batch.rows(), &need_rows),
-            outer,
-            &mut rvals,
-        )?;
-        let mut right_iter = rvals.into_iter();
-        let mut pos_iter = need_pos.into_iter().peekable();
-        for (i, l) in ltruths.into_iter().enumerate() {
-            let truth = if pos_iter.peek() == Some(&i) {
-                pos_iter.next();
-                let r = right_iter
-                    .next()
-                    .expect("one right value per undecided row")
-                    .as_truth();
-                if op == BinaryOp::And {
-                    l.and(r)
-                } else {
-                    l.or(r)
-                }
-            } else {
-                l
-            };
-            out.push(truth.to_value());
-        }
-        Ok(())
     }
 
     /// Evaluates a compiled expression.
@@ -2216,7 +1907,7 @@ mod tests {
 
         // Same shape, but some rows pass the typed left conjunct: those
         // rows *do* reach the right side and the deferred error surfaces,
-        // exactly as in the per-tuple modes.
+        // exactly as in the reference interpreter.
         let surfaced = PlanBuilder::scan(&db, "r")
             .unwrap()
             .select(perm_algebra::builder::and(
@@ -2224,12 +1915,11 @@ mod tests {
                 eq(col("does_not_exist"), lit(1)),
             ))
             .build();
-        for ex in [
-            Executor::new(&db),
-            Executor::new(&db).with_columnar(false),
-            Executor::new(&db).with_batching(false),
+        let ex = Executor::new(&db);
+        for err in [
+            ex.execute(&surfaced).unwrap_err(),
+            ex.execute_unoptimized(&surfaced).unwrap_err(),
         ] {
-            let err = ex.execute(&surfaced).unwrap_err();
             assert!(matches!(
                 err,
                 ExecError::Storage(StorageError::UnknownAttribute(_))

@@ -476,41 +476,35 @@ fn fill_node(
 /// `out` in order; returns the survivor count. On a vectorized error the
 /// batch is replayed per tuple so the survivors preceding the error are
 /// emitted and the error per-tuple evaluation raises first is returned.
-/// With batching disabled on the executor, the per-tuple path runs
-/// directly — the streamed path honours `Executor::with_batching` exactly
-/// like the materialising one.
 fn select_into(
     ex: &Executor<'_>,
     predicate: &CompiledExpr,
     in_rows: &mut [Tuple],
     out: &mut Vec<Tuple>,
 ) -> Result<usize> {
-    if ex.batching_enabled() {
-        let mut truths = Vec::with_capacity(in_rows.len());
-        let arity = in_rows.first().map(|t| t.values().len()).unwrap_or(0);
-        let block = ColumnBlock::new(arity);
-        if ex
-            .predicate_truths_vectorized(
-                predicate,
-                &Batch::dense_with_block(in_rows, &block),
-                None,
-                &mut truths,
-            )
-            .is_ok()
-        {
-            let mut survivors = 0;
-            for (idx, keep) in truths.iter().enumerate() {
-                if *keep {
-                    out.push(std::mem::take(&mut in_rows[idx]));
-                    survivors += 1;
-                }
+    let mut truths = Vec::with_capacity(in_rows.len());
+    let arity = in_rows.first().map(|t| t.values().len()).unwrap_or(0);
+    let block = ColumnBlock::new(arity);
+    if ex
+        .predicate_truths_vectorized(
+            predicate,
+            &Batch::dense_with_block(in_rows, &block),
+            None,
+            &mut truths,
+        )
+        .is_ok()
+    {
+        let mut survivors = 0;
+        for (idx, keep) in truths.iter().enumerate() {
+            if *keep {
+                out.push(std::mem::take(&mut in_rows[idx]));
+                survivors += 1;
             }
-            return Ok(survivors);
         }
-        // Fall through: replay per tuple for exact row/error ordering (the
-        // error set is identical; only precedence can differ — see
-        // `Executor::ceval_batch`).
+        return Ok(survivors);
     }
+    // Replay per tuple for exact row/error ordering (the error set is
+    // identical; only precedence can differ — see `Executor::ceval_batch`).
     let mut survivors = 0;
     for row in in_rows.iter_mut() {
         let frame = Frame::new(None, row);
@@ -525,8 +519,7 @@ fn select_into(
 /// Projects `in_rows` through `items` (vectorized, transposing the value
 /// columns into rows), appending one tuple per input row. On a vectorized
 /// error the batch is replayed per tuple, appending the rows that precede
-/// the error before returning it; with batching disabled the per-tuple
-/// path runs directly.
+/// the error before returning it.
 fn project_into(
     ex: &Executor<'_>,
     items: &[CompiledExpr],
@@ -538,10 +531,9 @@ fn project_into(
     }
     let arity = in_rows.first().map(|t| t.values().len()).unwrap_or(0);
     let block = ColumnBlock::new(arity);
-    if ex.batching_enabled()
-        && ex
-            .project_rows_vectorized(items, &Batch::dense_with_block(in_rows, &block), None, out)
-            .is_ok()
+    if ex
+        .project_rows_vectorized(items, &Batch::dense_with_block(in_rows, &block), None, out)
+        .is_ok()
     {
         // The shared core appends nothing on error, so falling through to
         // the per-tuple replay below never duplicates output rows.
@@ -762,30 +754,6 @@ mod tests {
             &Value::Int(5),
             "a full-batch speculative refill would have hit the division by zero instead"
         );
-    }
-
-    #[test]
-    fn streamed_path_honours_the_batching_toggle() {
-        let db = db_with_poisoned_tail();
-        let plan = limited_query(&db, 2);
-        let ex = Executor::new(&db).with_batching(false);
-        let compiled = ex.prepare(&plan).unwrap();
-        let rows: Vec<Tuple> = ex
-            .open(&compiled)
-            .unwrap()
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(
-            ex.batches_vectorized(),
-            0,
-            "with batching disabled the streamed path must dispatch per tuple"
-        );
-        // And `execute`, which routes this LIMIT through the cursor,
-        // respects the toggle the same way.
-        let eager = Executor::new(&db).with_batching(false);
-        assert_eq!(eager.execute(&plan).unwrap().len(), 2);
-        assert_eq!(eager.batches_vectorized(), 0);
     }
 
     #[test]

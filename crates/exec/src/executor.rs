@@ -8,7 +8,9 @@
 //!    cross products are fused into joins
 //!    ([`perm_algebra::optimize::fuse_select_over_cross`]) so that large
 //!    products (in particular the `CrossBase` products of the Gen rewrite
-//!    strategy) are never materialised unfiltered.
+//!    strategy) are never materialised unfiltered. The algebraic optimizer
+//!    ([`mod@crate::optimize`]) is not part of this pipeline; callers run it
+//!    on the plan beforehand.
 //! 2. **Compilation** ([`crate::compile`]) — a one-time pass per operator
 //!    that resolves every column reference to a positional *slot*
 //!    (scope depth + attribute index) against the concrete schema chain, so
@@ -27,7 +29,11 @@
 //!    memo, `ANY`/`ALL` *verdicts* are memoized per `(sublink identity,
 //!    bindings, test value)`, so repeated quantifier folds over the same
 //!    cached result are skipped too. The memos can be switched off with
-//!    [`Executor::with_sublink_memo`] for measurements.
+//!    [`Executor::with_sublink_memo`] for measurements. Expressions are
+//!    evaluated vectorized, one dispatch per expression per batch over
+//!    typed column lanes; the per-tuple [`Executor::ceval`] runs only the
+//!    sublink-bearing subtrees, row by row, so every sublink goes through
+//!    the memo.
 //!
 //! The uncompiled interpreter ([`Executor::execute_unoptimized`] /
 //! [`Executor::execute_with_env`]) remains available as the reference
@@ -47,7 +53,6 @@
 use crate::compile::CompiledPlan;
 use crate::eval::Env;
 use crate::memo::{MemoMap, SharedSublinkMemo};
-use crate::optimize::OptimizerReport;
 use crate::physical::{self, AggSpec};
 use crate::profile::{OpProbe, ProfileTree};
 use crate::resilience::{CancelToken, Degradation, FaultPlan, Governor, MemoCost, TraceSignal};
@@ -120,14 +125,6 @@ pub struct Executor<'a> {
     /// Number of plan compilations performed by [`Executor::prepare`]
     /// (diagnostic counter for prepared-statement tests).
     compile_count: Cell<u64>,
-    /// Whether [`Executor::prepare`] runs the algebraic optimizer
-    /// ([`crate::optimize`]) before compiling (off by default — sessions
-    /// run the optimizer themselves so they can diff the plans; this switch
-    /// serves executor-direct callers such as the differential harness).
-    optimizer_enabled: Cell<bool>,
-    /// What the optimizer did during the most recent [`Executor::prepare`]
-    /// with the optimizer enabled.
-    optimizer_report: Cell<OptimizerReport>,
     /// Number of operator evaluations performed (for tests/diagnostics);
     /// counted inside `crate::physical`, once per operator invocation.
     pub(crate) ops_evaluated: Cell<u64>,
@@ -135,11 +132,6 @@ pub struct Executor<'a> {
     /// sublink results (for tests/diagnostics; verdict-memo hits skip the
     /// fold entirely).
     pub(crate) cmp_evaluated: Cell<u64>,
-    /// Whether the compiled driver evaluates expressions *vectorized* over
-    /// whole batches (the default) or per tuple within each batch (the
-    /// measurement baseline of `harness batch`). Results are identical
-    /// either way; only the dispatch granularity differs.
-    pub(crate) batch_enabled: Cell<bool>,
     /// Number of expression-over-batch evaluations performed by the
     /// vectorized compiled evaluator (diagnostic; one per expression per
     /// batch).
@@ -148,11 +140,6 @@ pub struct Executor<'a> {
     /// evaluator because their expression subtree carries a sublink (the
     /// fallback that keeps the parameterized sublink memo seam untouched).
     pub(crate) batch_fallback_rows: Cell<u64>,
-    /// Whether the vectorized compiled evaluator runs over typed columnar
-    /// lanes (the default) or row-major `Value` columns (the measurement
-    /// baseline of `harness batch`). Results are identical either way;
-    /// only the data layout under each kernel differs.
-    pub(crate) columnar_enabled: Cell<bool>,
     /// Number of [`crate::batch::ColumnBlock`]s that served at least one
     /// columnar lane access (diagnostic; one per block touched, not per
     /// access).
@@ -211,14 +198,10 @@ impl<'a> Executor<'a> {
             memo_enabled: Cell::new(true),
             retain_memo: Cell::new(false),
             compile_count: Cell::new(0),
-            optimizer_enabled: Cell::new(false),
-            optimizer_report: Cell::new(OptimizerReport::default()),
             ops_evaluated: Cell::new(0),
             cmp_evaluated: Cell::new(0),
-            batch_enabled: Cell::new(true),
             batches_vectorized: Cell::new(0),
             batch_fallback_rows: Cell::new(0),
-            columnar_enabled: Cell::new(true),
             columnar_blocks: Cell::new(0),
             columnar_fallback_rows: Cell::new(0),
             profile: RefCell::new(Weak::new()),
@@ -234,22 +217,6 @@ impl<'a> Executor<'a> {
         };
     }
 
-    /// Enables or disables vectorized batch evaluation on the compiled path
-    /// (enabled by default). Disabled, the compiled driver dispatches every
-    /// expression once per tuple within each batch — the pre-batching cost
-    /// profile, kept as the `harness batch` measurement baseline. Results,
-    /// errors and `operators_evaluated` are identical in both modes.
-    pub fn with_batching(self, enabled: bool) -> Executor<'a> {
-        self.batch_enabled.set(enabled);
-        self
-    }
-
-    /// Whether vectorized batch evaluation is enabled on the compiled path
-    /// (see [`Executor::with_batching`]).
-    pub fn batching_enabled(&self) -> bool {
-        self.batch_enabled.get()
-    }
-
     /// Number of expression-over-batch evaluations performed so far by the
     /// vectorized compiled evaluator (diagnostic counter; one per
     /// expression per batch of up to [`crate::BATCH_ROWS`] rows).
@@ -263,23 +230,6 @@ impl<'a> Executor<'a> {
     /// sublink memo exactly like tuple-at-a-time execution).
     pub fn batch_fallback_rows(&self) -> u64 {
         self.batch_fallback_rows.get()
-    }
-
-    /// Enables or disables columnar execution on the vectorized compiled
-    /// path (enabled by default). Disabled, vectorized evaluation runs the
-    /// row-major `Value`-column kernels — the data-layout measurement
-    /// baseline of `harness batch`; it has no effect when batching itself
-    /// is off. Results, errors and `operators_evaluated` are identical in
-    /// both modes.
-    pub fn with_columnar(self, enabled: bool) -> Executor<'a> {
-        self.columnar_enabled.set(enabled);
-        self
-    }
-
-    /// Whether columnar execution is enabled on the vectorized compiled
-    /// path (see [`Executor::with_columnar`]).
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar_enabled.get()
     }
 
     /// Number of column blocks that served at least one columnar lane
@@ -560,39 +510,14 @@ impl<'a> Executor<'a> {
     /// indices) to sublinks (see [`crate::compile`]). Sublink ids are drawn
     /// from a process-wide counter, so compiled plans from different
     /// executors can never collide in a shared memo.
+    ///
+    /// `prepare` does not run the algebraic optimizer: callers that want it
+    /// pass the plan through [`crate::optimize::optimize`] first (a
+    /// session does so under its `optimize` setting).
     pub fn prepare(&self, plan: &Plan) -> Result<CompiledPlan> {
         self.compile_count.set(self.compile_count.get() + 1);
-        let optimized;
-        let plan = if self.optimizer_enabled.get() {
-            let (p, report) = crate::optimize::optimize(plan);
-            self.optimizer_report.set(report);
-            optimized = p;
-            &optimized
-        } else {
-            plan
-        };
         let fused = perm_algebra::optimize::fuse_select_over_cross(plan.clone());
         crate::compile::compile_plan(&fused)
-    }
-
-    /// Enables or disables the algebraic optimizer pass in
-    /// [`Executor::prepare`] (disabled by default; see the field docs for
-    /// why sessions keep it off and run [`crate::optimize::optimize`]
-    /// themselves).
-    pub fn with_optimizer(self, enabled: bool) -> Executor<'a> {
-        self.optimizer_enabled.set(enabled);
-        self
-    }
-
-    /// Whether [`Executor::prepare`] runs the algebraic optimizer.
-    pub fn optimizer_enabled(&self) -> bool {
-        self.optimizer_enabled.get()
-    }
-
-    /// The rule-application report of the most recent optimizer run in
-    /// [`Executor::prepare`] (all-zero when the optimizer never ran).
-    pub fn optimizer_report(&self) -> OptimizerReport {
-        self.optimizer_report.get()
     }
 
     /// Clears the compiled-path memos (sublink results and verdicts) *of

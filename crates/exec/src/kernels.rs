@@ -308,7 +308,7 @@ fn float_view(col: &ColumnVec) -> Option<(FloatView<'_>, &Validity)> {
 
 /// Row-major fallback: both columns rendered to `Value`s, then the shared
 /// scalar applier row by row — left column first, then right, then apply
-/// in row order, matching the row-major evaluator's error order.
+/// in row order, matching the per-tuple evaluator's error order.
 fn scalar_binary(op: BinaryOp, l: ColumnVec, r: ColumnVec) -> Result<ColumnVec> {
     let n = l.len();
     let lvals = l.to_values();

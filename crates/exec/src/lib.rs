@@ -29,9 +29,8 @@
 //!   (one recursive descent per expression per batch, with `AND`/`OR` and
 //!   `CASE` narrowing the selection so per-row short-circuit semantics are
 //!   preserved exactly), falling back to per-tuple evaluation for
-//!   sublink-bearing subtrees so the memo seam is untouched;
-//!
-//!   On top of the batches the compiled path runs **column-major**: every
+//!   sublink-bearing subtrees so the memo seam is untouched.
+//!   This vectorized evaluator runs **column-major**: every
 //!   batch is backed by a [`ColumnBlock`] whose typed lanes (i64, f64,
 //!   date, bool and string vectors, each with a packed validity bitmap,
 //!   plus a `Value`-vector fallback lane for mixed-type columns) are
@@ -44,10 +43,13 @@
 //!   (`encode_key_column` in `perm-storage`, byte-identical to the
 //!   row-major encoding). Tuples are only re-materialised at pipeline
 //!   breakers, the memo seam and the [`Rows`] boundary. The layer is
-//!   observable ([`Executor::columnar_blocks`],
-//!   [`Executor::columnar_fallback_rows`]) and can be switched off
-//!   ([`Executor::with_columnar`]) — the measurement baseline of
-//!   `harness batch`, which gates columnar against row-major batches;
+//!   observable ([`Executor::batches_vectorized`],
+//!   [`Executor::columnar_blocks`], [`Executor::columnar_fallback_rows`]).
+//!   It is the only compiled evaluation mode: the per-tuple compiled
+//!   evaluator ([`Executor::ceval`]) serves solely as the sublink
+//!   fallback and as the streaming cursor's replay of a batch whose
+//!   vectorized evaluation failed, which fixes the error that surfaces
+//!   first;
 //! * the name-resolving interpreter ([`Executor::execute_unoptimized`]),
 //!   the reference semantics of the equivalence tests and the substrate of
 //!   the tracer in `perm-core`; its closures loop over each batch **row by
@@ -70,7 +72,7 @@
 //! shared, a semantics fix lands in one place, and the
 //! `operators_evaluated` accounting lives in the physical layer alone —
 //! counted once per logical operator invocation, never per batch, so the
-//! counter is comparable across batch sizes and execution modes.
+//! counter is comparable across batch sizes and between the two drivers.
 //!
 //! Ahead of compilation sits the **optimizer layer** ([`mod@optimize`]) — a
 //! fixpoint of cost-free logical rewrites over the bound algebra: correlated
@@ -82,8 +84,9 @@
 //! result bags, the error set *and* the `operators_evaluated` bound; the
 //! module documentation spells out the three observables. The `Session`
 //! facade runs the phase between the provenance rewrite and [`compile`]
-//! (so witness columns are ordinary columns by then); executor-direct
-//! callers opt in with [`Executor::with_optimizer`], and `harness opt
+//! (so witness columns are ordinary columns by then) under its one
+//! `optimize` switch; executor-direct callers pass their plan through
+//! [`optimize()`] themselves before [`Executor::execute`], and `harness opt
 //! --check` gates the decorrelated plans against the memo-only baseline.
 //!
 //! An [`Executor`] is deliberately `!Sync` (its counters and private memos

@@ -9,19 +9,15 @@
 //! Every plan is executed through
 //!
 //! 1. `Executor::execute` — compile + parameterized sublink/verdict memos,
-//!    with the default columnar batch layout,
-//! 2. `Executor::execute` with columnar off — the row-major vectorized
-//!    layout over the same batches,
-//! 3. `Executor::execute_unoptimized` — the name-resolving interpreter
+//!    evaluated vectorized over columnar batches,
+//! 2. `Executor::execute_unoptimized` — the name-resolving interpreter
 //!    (which shares the parameterized memo, resolved at runtime), and
-//! 4. `Executor::execute` with the memos disabled,
+//! 3. `Executor::execute` with the memos disabled,
 //!
-//! and all results must agree bag-for-bag (or all modes must fail). The
-//! batch-seam cases below add the fifth mode, batching off entirely (the
-//! per-tuple compiled dispatch). Since both drivers are thin shells over
-//! the shared physical-operator layer, a divergence here points at the
-//! evaluator closures, the typed kernels or the memo keying — exactly the
-//! parts that are *not* shared.
+//! and all results must agree bag-for-bag (or all modes must fail). Since
+//! both drivers are thin shells over the shared physical-operator layer, a
+//! divergence here points at the evaluator closures, the typed kernels or
+//! the memo keying — exactly the parts that are *not* shared.
 
 use perm_algebra::builder::{
     all_sublink, and, any_sublink, between, cmp, count_star, eq, exists_sublink, lit, not, or,
@@ -257,22 +253,14 @@ fn random_plans_agree_across_all_execution_modes() {
         let compiled_ex = Executor::new(&db);
         let compiled = compiled_ex.execute(&plan);
 
-        let row_major_ex = Executor::new(&db).with_columnar(false);
-        let row_major = row_major_ex.execute(&plan);
-
         let interp_ex = Executor::new(&db);
         let interpreted = interp_ex.execute_unoptimized(&plan);
 
         let memo_off_ex = Executor::new(&db).with_sublink_memo(false);
         let memo_off = memo_off_ex.execute(&plan);
 
-        match (&compiled, &row_major, &interpreted, &memo_off) {
-            (Ok(a), Ok(r), Ok(b), Ok(c)) => {
-                assert!(
-                    a.bag_eq(r),
-                    "plan {i}: columnar disagrees with row-major vectorized\n{}",
-                    perm_algebra::display::explain(&plan)
-                );
+        match (&compiled, &interpreted, &memo_off) {
+            (Ok(a), Ok(b), Ok(c)) => {
                 assert!(
                     a.bag_eq(b),
                     "plan {i}: compiled+memo disagrees with the interpreter\n{}",
@@ -283,23 +271,17 @@ fn random_plans_agree_across_all_execution_modes() {
                     "plan {i}: compiled+memo disagrees with memo-off\n{}",
                     perm_algebra::display::explain(&plan)
                 );
-                assert_eq!(
-                    compiled_ex.operators_evaluated(),
-                    row_major_ex.operators_evaluated(),
-                    "plan {i}: operators_evaluated must not depend on the column layout"
-                );
                 if compiled_ex.operators_evaluated() < memo_off_ex.operators_evaluated() {
                     correlated_hits += 1;
                 }
             }
-            (Err(_), Err(_), Err(_), Err(_)) => {}
+            (Err(_), Err(_), Err(_)) => {}
             other => panic!(
                 "plan {i}: execution modes disagree on success/failure: \
-                 compiled={:?} row_major={:?} interpreted={:?} memo_off={:?}\n{}",
+                 compiled={:?} interpreted={:?} memo_off={:?}\n{}",
                 other.0.as_ref().map(|_| "ok"),
                 other.1.as_ref().map(|_| "ok"),
                 other.2.as_ref().map(|_| "ok"),
-                other.3.as_ref().map(|_| "ok"),
                 perm_algebra::display::explain(&plan),
             ),
         }
@@ -313,7 +295,7 @@ fn random_plans_agree_across_all_execution_modes() {
     );
 }
 
-/// The seventh differential mode: the full random corpus with the
+/// The optimizer differential mode: the full random corpus with the
 /// **algebraic optimizer** on versus the memo-only reference. Result bags
 /// must agree (or both modes must fail), and the optimizer must never cost
 /// operator evaluations beyond the decorrelation allowance — a
@@ -333,8 +315,9 @@ fn optimizer_on_agrees_with_reference_and_never_costs_operators() {
         let ref_ex = Executor::new(&db);
         let reference = ref_ex.execute(&plan);
 
-        let opt_ex = Executor::new(&db).with_optimizer(true);
-        let optimized = opt_ex.execute(&plan);
+        let (opt_plan, report) = perm_exec::optimize(&plan);
+        let opt_ex = Executor::new(&db);
+        let optimized = opt_ex.execute(&opt_plan);
 
         match (&reference, &optimized) {
             (Ok(a), Ok(b)) => {
@@ -343,7 +326,6 @@ fn optimizer_on_agrees_with_reference_and_never_costs_operators() {
                     "plan {i}: optimizer-on disagrees with memo-only reference\n{}",
                     perm_algebra::display::explain(&plan)
                 );
-                let report = opt_ex.optimizer_report();
                 let slack = 2 * report.sublinks_decorrelated;
                 let (ops_ref, ops_opt) =
                     (ref_ex.operators_evaluated(), opt_ex.operators_evaluated());
@@ -385,15 +367,11 @@ fn optimizer_on_agrees_with_reference_and_never_costs_operators() {
 // ---------------------------------------------------------------------------
 // Batch-seam differential cases: table sizes straddling the batch size
 // (0, 1, BATCH−1, BATCH, BATCH+1 rows) with NaN keys and >2⁵³ integer keys
-// placed so they cross the first batch boundary. Five execution modes
-// (columnar, row-major vectorized, per-tuple compiled, interpreted,
-// memo-off) must agree bag-for-bag on every plan shape that exercises a
-// batched seam
-// (vectorized logic/CASE/function evaluation, hashed and batched join
-// probes, grouping, sort+limit tie order, sublink fallback), and the
-// vectorized and per-tuple compiled modes must report identical
-// `operators_evaluated` (the counter is per logical operator invocation,
-// not per batch).
+// placed so they cross the first batch boundary. Three execution modes
+// (compiled, interpreted, memo-off) must agree bag-for-bag on every plan
+// shape that exercises a batched seam (vectorized logic/CASE/function
+// evaluation, hashed and batched join probes, grouping, sort+limit tie
+// order, sublink fallback).
 // ---------------------------------------------------------------------------
 
 const TWO_53: i64 = 1 << 53;
@@ -446,39 +424,20 @@ fn seam_database(rows: usize) -> Database {
     db
 }
 
-/// Runs one plan through columnar-compiled (the default), row-major
-/// vectorized (columnar off), per-tuple-compiled (batching off),
-/// interpreted and memo-off execution and asserts bag equality plus
-/// operator-count parity among the three compiled modes.
+/// Runs one plan through compiled, interpreted and memo-off execution and
+/// asserts bag equality.
 fn assert_seam_modes_agree(db: &Database, plan: &Plan, label: &str) {
-    let batched_ex = Executor::new(db);
-    let batched = batched_ex.execute(plan).unwrap();
-    let row_major_ex = Executor::new(db).with_columnar(false);
-    let row_major = row_major_ex.execute(plan).unwrap();
-    let per_tuple_ex = Executor::new(db).with_batching(false);
-    let per_tuple = per_tuple_ex.execute(plan).unwrap();
+    let batched = Executor::new(db).execute(plan).unwrap();
     let interpreted = Executor::new(db).execute_unoptimized(plan).unwrap();
     let memo_off = Executor::new(db)
         .with_sublink_memo(false)
         .execute(plan)
         .unwrap();
-    assert!(batched.bag_eq(&row_major), "{label}: columnar vs row-major");
-    assert!(batched.bag_eq(&per_tuple), "{label}: batched vs per-tuple");
     assert!(
         batched.bag_eq(&interpreted),
         "{label}: batched vs interpreter"
     );
     assert!(batched.bag_eq(&memo_off), "{label}: batched vs memo-off");
-    assert_eq!(
-        batched_ex.operators_evaluated(),
-        per_tuple_ex.operators_evaluated(),
-        "{label}: operators_evaluated must not depend on batching"
-    );
-    assert_eq!(
-        batched_ex.operators_evaluated(),
-        row_major_ex.operators_evaluated(),
-        "{label}: operators_evaluated must not depend on the column layout"
-    );
 }
 
 #[test]
@@ -815,7 +774,7 @@ fn memory_budget_sweep_degrades_gracefully_or_fails_with_a_named_operator() {
 }
 
 // ---------------------------------------------------------------------------
-// Spill-forced sixth mode: the full 220-plan corpus under a starvation
+// Spill-forced mode: the full 220-plan corpus under a starvation
 // budget *with spilling enabled*. Queries must produce exactly the
 // unbudgeted reference bag — the out-of-core operators (grace hash join,
 // external merge sort, partitioned aggregation) and the spilled memo are
@@ -1024,10 +983,4 @@ fn vectorized_fallback_rows_are_counted_and_memo_behaviour_is_unchanged() {
     assert!(ex.batches_vectorized() > 0, "the spine still vectorizes");
     // scan t + select + 7 distinct g bindings × (select + scan u).
     assert_eq!(ex.operators_evaluated(), 2 + 7 * 2);
-
-    // Per-tuple mode never vectorizes, and counts identically.
-    let per_tuple = Executor::new(&db).with_batching(false);
-    per_tuple.execute(&plan).unwrap();
-    assert_eq!(per_tuple.batches_vectorized(), 0);
-    assert_eq!(per_tuple.operators_evaluated(), 2 + 7 * 2);
 }

@@ -1,15 +1,13 @@
 //! Strategy comparison on the synthetic workload of Section 4.2.2 — a small
 //! interactive version of Figures 7–9.
 //!
-//! This example deliberately stays on the *deprecated* pre-`Session` helper
-//! `perm::provenance_of_plan`: existing callers must keep compiling and
-//! producing the same results as before the `Engine`/`Session` redesign.
-//! (The other examples show the session API.)
+//! Each strategy runs in a one-shot [`Session`] configured with that
+//! strategy, so every timing covers the rewrite, optimization, compilation
+//! and execution of the plan.
 //!
 //! Run with `cargo run --release --example strategy_comparison`.
-#![allow(deprecated)]
 
-use perm::Strategy;
+use perm::{Session, SessionConfig, Strategy};
 use perm_algebra::display::explain;
 use perm_bench_shim::*;
 
@@ -34,8 +32,17 @@ fn main() {
             print!("  {name:<14}");
             for strategy in Strategy::ALL {
                 let start = std::time::Instant::now();
-                // The legacy one-shot helper: rewrite + execute per call.
-                match perm::provenance_of_plan(&db, &plan, strategy) {
+                let session = Session::with_config(
+                    &db,
+                    SessionConfig {
+                        strategy,
+                        ..SessionConfig::default()
+                    },
+                );
+                let result = session
+                    .prepare_provenance_plan(&plan)
+                    .and_then(|prepared| session.execute(&prepared, &[]));
+                match result {
                     Ok(result) => print!(
                         "  {:>5}: {:>7.1}ms ({} rows)",
                         strategy.name(),

@@ -78,7 +78,8 @@
 //! * **Structured traces** — attach any [`TraceSink`] (the bundled
 //!   [`RingTraceSink`] is a bounded ring buffer) via
 //!   [`SessionConfig::trace_sink`] to receive [`TraceEvent`]s: pipeline
-//!   phase spans (parse, bind, rewrite, compile, execute with wall times),
+//!   phase spans (parse, bind, rewrite, optimize, compile, execute with
+//!   wall times),
 //!   sublink-memo inserts and hits, spill writes, degradation-rung
 //!   transitions, and cancellation checkpoints that fired.
 //! * **Session counters** — [`Session::stats`] snapshots the monotone
@@ -105,10 +106,7 @@
 //! * [`perm_tpch`] / [`perm_synthetic`] — the evaluation workloads.
 //!
 //! This facade crate hosts the [`Engine`]/[`Session`] serving layer, the
-//! runnable examples and the cross-crate integration tests. The pre-session
-//! free functions ([`run_sql`], [`provenance_of_sql`],
-//! [`provenance_of_plan`]) remain as deprecated thin wrappers over a
-//! transient [`Session`].
+//! runnable examples and the cross-crate integration tests.
 
 mod session;
 
@@ -136,8 +134,6 @@ pub use session::{
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::{provenance_of_plan, provenance_of_sql, run_sql};
     pub use crate::{
         Database, Engine, Executor, Prepared, ProvenanceQuery, ProvenanceRows, QueryProfile,
         Relation, Rows, Schema, Session, SessionConfig, Strategy, Tuple, Value, Witness,
@@ -215,61 +211,4 @@ impl From<perm_exec::ExecError> for PermError {
     fn from(e: perm_exec::ExecError) -> Self {
         PermError::Exec(e)
     }
-}
-
-/// Runs an ordinary SQL query and returns its result. If the query carries
-/// the `SELECT PROVENANCE` marker it is rewritten with [`Strategy::Auto`]
-/// before execution, mirroring the behaviour of the Perm system.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `Engine`/`Session` API: `Session::new(db).run(sql)` — \
-            or `Session::prepare` for repeated execution"
-)]
-pub fn run_sql(db: &Database, sql: &str) -> Result<Relation, PermError> {
-    Session::new(db).run(sql)
-}
-
-/// Computes the provenance of a SQL query with an explicit rewrite strategy.
-/// The `PROVENANCE` keyword is optional — provenance is computed either way.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `Engine`/`Session` API: `Session::prepare_provenance` + \
-            `Session::execute` (configure the strategy via `SessionConfig`)"
-)]
-pub fn provenance_of_sql(
-    db: &Database,
-    sql: &str,
-    strategy: Strategy,
-) -> Result<Relation, PermError> {
-    let session = Session::with_config(
-        db,
-        SessionConfig {
-            strategy,
-            ..SessionConfig::default()
-        },
-    );
-    let prepared = session.prepare_provenance(sql)?;
-    session.execute(&prepared, &[])
-}
-
-/// Computes the provenance of an algebra plan with an explicit strategy.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `Engine`/`Session` API: `Session::prepare_provenance_plan` + \
-            `Session::execute`"
-)]
-pub fn provenance_of_plan(
-    db: &Database,
-    plan: &perm_algebra::Plan,
-    strategy: Strategy,
-) -> Result<Relation, PermError> {
-    let session = Session::with_config(
-        db,
-        SessionConfig {
-            strategy,
-            ..SessionConfig::default()
-        },
-    );
-    let prepared = session.prepare_provenance_plan(plan)?;
-    session.execute(&prepared, &[])
 }

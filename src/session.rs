@@ -340,22 +340,6 @@ pub struct SessionConfig {
     /// Ad-hoc [`Session::run`] under `false` keeps the classic
     /// clear-per-execution semantics.
     pub retain_memo: bool,
-    /// Whether compiled expressions are evaluated **vectorized** over tuple
-    /// batches (default `true`): one dispatch per expression per batch of
-    /// up to [`perm_exec::BATCH_ROWS`] rows instead of one per tuple.
-    /// Results and errors are identical either way; `false` restores the
-    /// per-tuple dispatch profile (the `harness batch` measurement
-    /// baseline).
-    pub batching: bool,
-    /// Whether vectorized expressions run over **typed column lanes**
-    /// (default `true`): each batch lazily transposes into a column block
-    /// of typed vectors with validity bitmaps, and comparison/arithmetic
-    /// dispatch to contiguous-slice kernels. Only meaningful while
-    /// [`SessionConfig::batching`] is on; `false` keeps the row-major
-    /// `Value`-at-a-time vectorized dispatch (the columnar measurement
-    /// baseline of `harness batch`). Results and errors are identical
-    /// either way.
-    pub columnar: bool,
     /// Whether prepared plans run through the algebraic optimizer
     /// ([`perm_exec::optimize()`]) between the (provenance) rewrite and
     /// compilation (default `true`). The headline rule decorrelates
@@ -432,8 +416,9 @@ pub struct SessionConfig {
     /// Optional structured-trace sink (default `None`). When set, every
     /// session opened with this configuration records
     /// [`perm_core::TraceEvent`]s into it: one [`TraceKind::Phase`] span
-    /// per completed pipeline phase (`parse`, `bind`, `rewrite`, `compile`,
-    /// `execute`, each carrying its wall time in nanoseconds), plus the
+    /// per completed pipeline phase (`parse`, `bind`, `rewrite`, `optimize`,
+    /// `compile`, `execute`, each carrying its wall time in nanoseconds),
+    /// plus the
     /// executor's resilience events — sublink-memo inserts and hits, spill
     /// writes, degradation-rung transitions, and cancellation checkpoints
     /// that actually fired. With no sink attached the executor's emission
@@ -452,8 +437,6 @@ impl Default for SessionConfig {
             sublink_memo: true,
             memo_capacity: None,
             retain_memo: true,
-            batching: true,
-            columnar: true,
             optimize: true,
             tracer: false,
             shared_sublink_memo: None,
@@ -476,8 +459,6 @@ impl std::fmt::Debug for SessionConfig {
             .field("sublink_memo", &self.sublink_memo)
             .field("memo_capacity", &self.memo_capacity)
             .field("retain_memo", &self.retain_memo)
-            .field("batching", &self.batching)
-            .field("columnar", &self.columnar)
             .field("optimize", &self.optimize)
             .field("tracer", &self.tracer)
             .field("shared_sublink_memo", &self.shared_sublink_memo)
@@ -560,8 +541,7 @@ pub struct SessionStats {
     pub plan_cache_misses: u64,
     /// Expression-over-batch evaluations performed by the vectorized
     /// compiled evaluator (one per expression per batch of up to
-    /// [`perm_exec::BATCH_ROWS`] rows; zero when
-    /// [`SessionConfig::batching`] is off).
+    /// [`perm_exec::BATCH_ROWS`] rows).
     pub vectorized_batches: u64,
     /// Rows a vectorized batch handed back to the per-tuple evaluator
     /// because their expression subtree carries a sublink — the fallback
@@ -569,7 +549,7 @@ pub struct SessionStats {
     pub sublink_fallback_rows: u64,
     /// Column blocks whose typed lanes were actually materialised by the
     /// columnar evaluator (a block is counted on first lane access, not
-    /// per batch; zero when [`SessionConfig::columnar`] is off).
+    /// per batch).
     pub columnar_blocks: u64,
     /// Rows the columnar evaluator handed back to the row-major `Value`
     /// path — mixed-type or otherwise untyped lanes, string/date kernels
@@ -735,7 +715,7 @@ impl Prepared {
 impl<'a> Session<'a> {
     /// Opens a session with the default configuration directly over a
     /// database — the escape hatch for callers that manage the database
-    /// themselves (the deprecated free functions use this).
+    /// themselves.
     pub fn new(db: &'a Database) -> Session<'a> {
         Session::with_config(db, SessionConfig::default())
     }
@@ -746,8 +726,6 @@ impl<'a> Session<'a> {
             .with_sublink_memo(config.sublink_memo)
             .with_memo_capacity(config.memo_capacity)
             .with_memo_retention(config.retain_memo)
-            .with_batching(config.batching)
-            .with_columnar(config.columnar)
             .with_memory_budget(config.memory_budget)
             .with_spill(config.spill)
             .with_spill_dir(config.spill_dir.clone());

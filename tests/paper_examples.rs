@@ -6,15 +6,38 @@
 //!   the uniqueness restored by Definition 2.
 //! * Section 3.1 — the provenance schema/representation of `qex`.
 
-// This suite deliberately exercises the deprecated pre-`Session` helpers:
-// they must keep compiling and agreeing with the paper's examples until they
-// are removed (the Session-era equivalents are covered by
-// `sql_end_to_end.rs` and `session_api.rs`).
-#![allow(deprecated)]
-
 use perm::prelude::*;
-use perm::provenance_of_sql;
+use perm::PermError;
 use perm_core::tracer::Tracer;
+
+/// A one-shot session computing provenance with an explicit strategy.
+fn session(db: &Database, strategy: Strategy) -> Session<'_> {
+    Session::with_config(
+        db,
+        SessionConfig {
+            strategy,
+            ..SessionConfig::default()
+        },
+    )
+}
+
+/// Provenance of a SQL query (the `PROVENANCE` keyword is optional).
+fn provenance_of_sql(db: &Database, sql: &str, strategy: Strategy) -> Result<Relation, PermError> {
+    let session = session(db, strategy);
+    let prepared = session.prepare_provenance(sql)?;
+    session.execute(&prepared, &[])
+}
+
+/// Provenance of an algebra plan.
+fn provenance_of_plan(
+    db: &Database,
+    plan: &perm_algebra::Plan,
+    strategy: Strategy,
+) -> Result<Relation, PermError> {
+    let session = session(db, strategy);
+    let prepared = session.prepare_provenance_plan(plan)?;
+    session.execute(&prepared, &[])
+}
 
 /// R = {(1,1), (2,1), (3,2)} and S = {(1,3), (2,4), (4,5)} from Figure 3.
 fn figure3_db() -> Database {
@@ -244,7 +267,7 @@ fn tracer_and_rewrites_agree_on_every_figure3_query() {
         let mut tracer = Tracer::new(&db);
         let traced = tracer.trace(&plan).unwrap();
         for strategy in [Strategy::Gen, Strategy::Left, Strategy::Move] {
-            let result = perm::provenance_of_plan(&db, &plan, strategy).unwrap();
+            let result = provenance_of_plan(&db, &plan, strategy).unwrap();
             // Compare as sets of named rows (column order may differ).
             let names = traced.schema().names();
             let project = |rel: &Relation| -> Vec<Vec<Value>> {

@@ -592,20 +592,6 @@ fn columnar_stats_count_blocks_and_fallbacks() {
         stats.columnar_fallback_rows >= stats.sublink_fallback_rows,
         "sublink rows are a subset of the columnar fallback rows"
     );
-
-    // Columnar off: the row-major vectorized path — same results, no
-    // blocks, no columnar fallbacks.
-    let row_major = engine.session_with(SessionConfig {
-        columnar: false,
-        ..SessionConfig::default()
-    });
-    let prepared = row_major.prepare("SELECT a FROM r WHERE a < 6").unwrap();
-    let row_major_rows = row_major.execute(&prepared, &[]).unwrap();
-    assert!(row_major_rows.bag_eq(&typed_rows));
-    let stats = row_major.stats();
-    assert_eq!(stats.columnar_blocks, 0);
-    assert_eq!(stats.columnar_fallback_rows, 0);
-    assert!(stats.vectorized_batches > 0, "batching itself stays on");
 }
 
 #[test]

@@ -108,23 +108,30 @@ fn optimizer_preserves_results_and_witnesses_on_the_sql_corpus() {
 }
 
 #[test]
-fn session_provenance_agrees_with_the_deprecated_helper() {
-    // The compatibility bar for the deprecated wrappers: same strategy, same
-    // result, old path vs new path, on a seeded subset.
+fn engine_session_provenance_agrees_with_a_one_shot_session() {
+    // An engine session (plan cache) and a one-shot session opened straight
+    // over the database: same strategy, same result, on a seeded subset.
     let db = corpus_database();
     let engine = Engine::new(db);
     let mut checked = 0usize;
-    // Parameter-free subset (the old helpers cannot bind parameters).
+    // Parameter-free subset (the one-shot path binds no parameters).
     for seed in (0..200u64).filter(|&s| !corpus_case(s).sql.contains('$')) {
         let sql = corpus_case(seed).sql;
         let session = engine.session();
         let prepared = session.prepare_provenance(&sql).unwrap();
-        let new_path = session.execute(&prepared, &[]).unwrap();
-        #[allow(deprecated)]
-        let old_path = perm::provenance_of_sql(engine.database(), &sql, Strategy::Auto).unwrap();
+        let engine_path = session.execute(&prepared, &[]).unwrap();
+        let one_shot = Session::with_config(
+            engine.database(),
+            SessionConfig {
+                strategy: Strategy::Auto,
+                ..SessionConfig::default()
+            },
+        );
+        let prepared = one_shot.prepare_provenance(&sql).unwrap();
+        let one_shot_path = one_shot.execute(&prepared, &[]).unwrap();
         assert!(
-            new_path.bag_eq(&old_path),
-            "seed {seed}: session and deprecated helper disagree on `{sql}`"
+            engine_path.bag_eq(&one_shot_path),
+            "seed {seed}: engine and one-shot sessions disagree on `{sql}`"
         );
         checked += 1;
         if checked == 10 {

@@ -5,7 +5,7 @@ use perm::prelude::*;
 use perm::SessionConfig;
 
 /// Provenance of a SQL query through the Session API with an explicit
-/// strategy (the Session-era spelling of the old `provenance_of_sql`).
+/// strategy.
 fn provenance_of_sql(
     db: &Database,
     sql: &str,
